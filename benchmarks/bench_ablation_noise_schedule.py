@@ -17,9 +17,13 @@ import pytest
 
 from repro.apps.minife.app import MiniFEApp, MiniFEConfig
 from repro.core.analyzer import ThreadTimingAnalyzer
-from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignSession
 from repro.openmp.schedule import DynamicSchedule
+
+
+def _run(config):
+    return CampaignSession(config).run().dataset
 
 
 def _ablation_config(application, *, noise):
@@ -37,7 +41,7 @@ def _ablation_config(application, *, noise):
 
 
 def test_noise_off_removes_minimd_laggards(benchmark):
-    dataset = benchmark(run_campaign, _ablation_config("minimd", noise=False))
+    dataset = benchmark(_run, _ablation_config("minimd", noise=False))
     analyzer = ThreadTimingAnalyzer(dataset)
     laggards = analyzer.laggards()
     steady = [
@@ -49,7 +53,7 @@ def test_noise_off_removes_minimd_laggards(benchmark):
 
 
 def test_noise_on_restores_minimd_laggards(benchmark):
-    dataset = benchmark(run_campaign, _ablation_config("minimd", noise=True))
+    dataset = benchmark(_run, _ablation_config("minimd", noise=True))
     analyzer = ThreadTimingAnalyzer(dataset)
     laggards = analyzer.laggards()
     steady = [
@@ -61,7 +65,7 @@ def test_noise_on_restores_minimd_laggards(benchmark):
 
 
 def test_noise_off_minife_laggards_come_from_the_application(benchmark):
-    dataset = benchmark(run_campaign, _ablation_config("minife", noise=False))
+    dataset = benchmark(_run, _ablation_config("minife", noise=False))
     fraction = ThreadTimingAnalyzer(dataset).laggards().laggard_fraction
     # only the application-level straggler model remains (~18 %)
     assert 0.08 < fraction < 0.30
@@ -72,7 +76,7 @@ def test_dynamic_schedule_rebalances_minife(benchmark):
 
     def build_dataset():
         config = _ablation_config("minife", noise=False)
-        dataset_static = run_campaign(config)
+        dataset_static = _run(config)
         return dataset_static
 
     static_ds = benchmark(build_dataset)

@@ -25,10 +25,10 @@ import numpy as np
 
 from repro.core import ThreadTimingAnalyzer, TimeoutStrategy, compare_strategies
 from repro.core.laggard import IterationClass
-from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.figures import figure5_minife_classes
 from repro.experiments.paper import SECTION4_METRICS
+from repro.experiments.session import CampaignSession
 from repro.viz import ascii_histogram, ascii_percentile_plot, ascii_table
 
 
@@ -57,7 +57,7 @@ def main() -> None:
         f"running MiniFE campaign: {config.trials} trials x {config.processes} "
         f"processes x {config.iterations} iterations x {config.threads} threads"
     )
-    dataset = run_campaign(config)
+    dataset = CampaignSession(config).run().dataset
     analyzer = ThreadTimingAnalyzer(dataset)
     paper = SECTION4_METRICS["minife"]
 

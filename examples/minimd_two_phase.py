@@ -23,10 +23,10 @@ import argparse
 import numpy as np
 
 from repro.core import ThreadTimingAnalyzer
-from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.figures import figure7_minimd_classes
 from repro.experiments.tables import minimd_phase_table
+from repro.experiments.session import CampaignSession
 from repro.viz import ascii_histogram, ascii_percentile_plot, ascii_table
 
 
@@ -62,7 +62,7 @@ def main() -> None:
     )
 
     print("running MiniMD campaign (OS-noise model enabled)...")
-    noisy = run_campaign(base_config)
+    noisy = CampaignSession(base_config).run().dataset
     noisy_analyzer = ThreadTimingAnalyzer(noisy)
 
     print("\nFigure 6 analogue — per-iteration arrival percentiles (ms):")
@@ -95,7 +95,7 @@ def main() -> None:
         seed=args.seed,
     )
     quiet_config.machine = quiet_config.machine.without_noise()
-    quiet = run_campaign(quiet_config)
+    quiet = CampaignSession(quiet_config).run().dataset
     quiet_analyzer = ThreadTimingAnalyzer(quiet)
 
     rows = [

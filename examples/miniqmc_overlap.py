@@ -27,9 +27,9 @@ from repro.core import BinnedStrategy, BulkStrategy, FineGrainedStrategy, Thread
 from repro.core.earlybird import EarlyBirdModel
 from repro.core.laggard import IterationClass
 from repro.core.strategies import compare_strategies
-from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.figures import figure9_miniqmc_histogram
+from repro.experiments.session import CampaignSession
 from repro.viz import ascii_histogram, ascii_percentile_plot, ascii_table
 
 
@@ -54,7 +54,7 @@ def main() -> None:
         seed=args.seed,
     )
     print("running MiniQMC campaign...")
-    dataset = run_campaign(config)
+    dataset = CampaignSession(config).run().dataset
     analyzer = ThreadTimingAnalyzer(dataset)
 
     print("\nFigure 8 analogue — per-iteration mover percentiles (ms):")

@@ -13,8 +13,8 @@ contribution (thread-timing instrumentation and analysis) on top:
     Simulated OpenMP runtime: thread teams, loop schedules, barriers and
     ``parallel for nowait`` regions.
 ``repro.mpi``
-    Simulated MPI layer: communicators, point-to-point, collectives and
-    MPI-4.0-style partitioned communication on a LogGP network model.
+    Simulated MPI layer: MPI-4.0-style partitioned communication on a LogGP
+    network model.
 ``repro.stats``
     Batch-vectorised normality tests (D'Agostino K², Shapiro–Wilk,
     Anderson–Darling) and distribution utilities, validated against SciPy.
@@ -53,7 +53,7 @@ True
 shards out across a worker pool with bit-identical results;
 ``session.stream()`` iterates shard-by-shard without materialising the dense
 dataset; ``repro.experiments.register_backend`` plugs in new execution
-strategies alongside the built-in ``vectorized``, ``batched``, ``event`` and ``chunked``
+strategies alongside the built-in ``vectorized``, ``campaign`` and ``event``
 backends.
 
 Scenarios name full experimental settings and feed the same session::
@@ -86,8 +86,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignSession",
     "register_backend",
-    "quick_campaign",
-    "run_campaign",
     "Scenario",
     "ScenarioMatrix",
     "register_scenario",
@@ -118,7 +116,6 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.core.analyzer import ThreadTimingAnalyzer
     from repro.core.timing import TimingDataset, TimingRecord, TimingShard
     from repro.experiments.backends import register_backend
-    from repro.experiments.campaign import quick_campaign, run_campaign
     from repro.experiments.config import CampaignConfig
     from repro.experiments.session import CampaignSession
     from repro.scenarios.machines import (
@@ -148,8 +145,6 @@ _LAZY_EXPORTS = {
     "CampaignConfig": ("repro.experiments.config", "CampaignConfig"),
     "CampaignSession": ("repro.experiments.session", "CampaignSession"),
     "register_backend": ("repro.experiments.backends", "register_backend"),
-    "quick_campaign": ("repro.experiments.campaign", "quick_campaign"),
-    "run_campaign": ("repro.experiments.campaign", "run_campaign"),
     "Scenario": ("repro.scenarios.scenario", "Scenario"),
     "ScenarioMatrix": ("repro.scenarios.scenario", "ScenarioMatrix"),
     "register_scenario": ("repro.scenarios.scenario", "register_scenario"),

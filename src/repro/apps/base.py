@@ -104,7 +104,7 @@ class ProxyApplication(ABC):
         return np.zeros(self.config.n_threads)
 
     # ------------------------------------------------------------------
-    # batched work decomposition (the ``"batched"`` campaign backend)
+    # per-shard work decomposition (the campaign kernel's per-shard draws)
     # ------------------------------------------------------------------
     def item_costs_batch(
         self, process: int, n_iterations: int, rng: np.random.Generator
@@ -115,28 +115,13 @@ class ProxyApplication(ABC):
         (same draws, same order); applications whose per-iteration
         randomness factors into a single distribution override this with one
         2-D draw so an entire (trial, process) shard costs a handful of
-        NumPy calls.  Batched overrides draw in a *different order* than the
-        per-iteration path, so the ``"batched"`` backend is statistically —
-        not bit- — identical to ``"vectorized"``.
+        NumPy calls.  Such overrides draw in a *different order* than the
+        per-iteration path, so the ``"campaign"`` backend built on them is
+        statistically — not bit- — identical to ``"vectorized"``.
         """
         return np.stack(
             [self.item_costs(process, it, rng) for it in range(n_iterations)]
         )
-
-    def base_thread_times_batch(
-        self, process: int, n_iterations: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-thread pure compute times ``(n_iterations, n_threads)`` of a
-        shard, folded through the schedule's batch kernel.
-
-        Every built-in schedule vectorises this fold over the whole cost
-        matrix — the static clauses closed-form, dynamic/guided through the
-        row-vectorised work-queue replay — and each kernel is bit-identical
-        per row to its per-iteration ``simulate``, so the batched and
-        per-iteration paths diverge only in random draw *order*, never in
-        the schedule fold itself."""
-        costs = self.item_costs_batch(process, n_iterations, rng)
-        return self.config.schedule.simulate_batch(costs, self.config.n_threads)
 
     def application_delays_batch(
         self, process: int, n_iterations: int, rng: np.random.Generator
@@ -148,42 +133,6 @@ class ProxyApplication(ABC):
         return np.stack(
             [self.application_delays(process, it, rng) for it in range(n_iterations)]
         )
-
-    def thread_compute_times_batch(
-        self,
-        *,
-        process: int,
-        rng: np.random.Generator,
-        noise: Optional[OSNoiseModel] = None,
-        n_iterations: Optional[int] = None,
-    ) -> np.ndarray:
-        """Measured compute times of a whole (trial, process) shard at once.
-
-        The batched analogue of :meth:`thread_compute_times`: returns the
-        ``(n_iterations, n_threads)`` matrix with schedule busy times,
-        application delays, execution jitter and OS noise all applied as
-        whole-matrix operations (one jitter draw, one
-        :meth:`~repro.cluster.noise.OSNoiseModel.batch_delays` call).  The
-        per-iteration path interleaves its draws iteration by iteration, so
-        the two paths agree in distribution, not bit-for-bit.
-        """
-        n_iter = self.config.n_iterations if n_iterations is None else n_iterations
-        if n_iter < 1:
-            raise ValueError("n_iterations must be >= 1")
-        base = self.base_thread_times_batch(process, n_iter, rng)
-        extra = self.application_delays_batch(process, n_iter, rng)
-        if extra.shape != base.shape:
-            raise ValueError(
-                "application_delays_batch must return one value per "
-                "(iteration, thread)"
-            )
-        times = base + extra
-        if noise is not None:
-            if noise.spec.enabled and noise.spec.jitter_fraction > 0:
-                jitter = rng.normal(1.0, noise.spec.jitter_fraction, size=times.shape)
-                times = times * np.clip(jitter, 0.5, None)
-            times = times + noise.batch_delays(times, rng)
-        return times
 
     # ------------------------------------------------------------------
     # whole-campaign tensor decomposition (the ``"campaign"`` backend)
@@ -312,7 +261,7 @@ class ProxyApplication(ABC):
     ) -> np.ndarray:
         """Measured compute times of many (trial, process) shards at once.
 
-        The whole-campaign analogue of :meth:`thread_compute_times_batch`:
+        The whole-campaign analogue of :meth:`thread_compute_times`:
         returns the ``(n_shards, n_iterations, n_threads)`` tensor with one
         schedule fold over the entire chunk and per-shard scoped jitter and
         noise draws.  Draws are keyed by absolute purpose (``rng`` is
@@ -320,9 +269,9 @@ class ProxyApplication(ABC):
         :class:`~repro.sim.random.PurposeSplitRNG`), so any partition of the
         shard axis — serial or across worker processes — produces
         bit-identical samples.  Applications without
-        :attr:`campaign_tensor` fall back to whole per-shard
-        :meth:`thread_compute_times_batch` calls under absolute per-shard
-        scopes — same chunk-invariance, no 3-D overrides required.
+        :attr:`campaign_tensor` fall back to per-shard ``*_batch`` draws
+        under absolute per-shard scopes (:meth:`_campaign_fallback`) — same
+        chunk-invariance, no 3-D overrides required.
         """
         n_iter = self.config.n_iterations if n_iterations is None else n_iterations
         if n_iter < 1:
@@ -353,9 +302,6 @@ class ProxyApplication(ABC):
         schedule's whole-campaign kernel and jitter/OS noise apply plane by
         plane under the same absolute shard scopes — the same shape of
         work the tensor applications get, without any 3-D overrides.
-        Versus running :meth:`thread_compute_times_batch` shard by shard
-        the samples agree in distribution (the jitter/noise draw order
-        differs), and the schedule fold itself is bit-identical per plane.
         Shards whose item counts differ (rare heterogeneous apps) fall back
         to per-plane ``simulate_batch`` folds — same kernels, same draws.
         """

@@ -137,16 +137,8 @@ class MiniFEApp(ProxyApplication):
         return delays
 
     # ------------------------------------------------------------------
-    # batched work model (the ``"batched"`` campaign backend)
+    # per-shard work model (the campaign kernel's per-shard draws)
     # ------------------------------------------------------------------
-    def base_thread_times_batch(
-        self, process: int, n_iterations: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """The matrix never changes between iterations: broadcast the cached
-        per-thread busy-time row instead of re-simulating the schedule."""
-        row = self.base_thread_times(process, 0, rng)
-        return np.broadcast_to(row, (n_iterations, row.size))
-
     def application_delays_batch(
         self, process: int, n_iterations: int, rng: np.random.Generator
     ) -> np.ndarray:

@@ -143,7 +143,7 @@ class MiniMDApp(ProxyApplication):
         )
 
     # ------------------------------------------------------------------
-    # batched work model (the ``"batched"`` campaign backend)
+    # per-shard work model (the campaign kernel's per-shard draws)
     # ------------------------------------------------------------------
     def item_costs_batch(
         self, process: int, n_iterations: int, rng: np.random.Generator

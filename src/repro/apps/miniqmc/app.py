@@ -142,7 +142,7 @@ class MiniQMCApp(ProxyApplication):
         self, process: int, n_iterations: int, rng: np.random.Generator
     ) -> np.ndarray:
         """A shard's per-walker mover times as one 2-D normal draw (the
-        ``"batched"`` campaign backend); same truncation as the
+        campaign kernel's per-shard hook); same truncation as the
         per-iteration path."""
         cfg = self.config
         mean = self.mover_mean_s * self._process_mean_scale
@@ -163,7 +163,7 @@ class MiniQMCApp(ProxyApplication):
         of a shard, so they are taken from the *same* per-shard ``"work"``
         streams :meth:`begin_process` consumes under the per-shard backends
         — the campaign backend's mixture components are then bit-identical
-        to the vectorized/batched ones, and distributional agreement holds
+        to the vectorized ones, and distributional agreement holds
         even for small process ensembles.  Two scalar draws per shard keep
         this chunk-invariant (each shard's stream is touched exactly once,
         whatever the chunking).

@@ -13,33 +13,21 @@ campaign layer without touching it.  Three backends ship with the package:
   entry/exit barriers and every noise preemption happen as events, and the
   timestamps come from the per-core monotonic clocks.  Slower; used by the
   examples and by integration tests that check the backends agree.
-* ``"chunked"`` — the vectorized math, exposed as a lazy stream of
-  per-(trial, process) :class:`~repro.core.timing.TimingShard` chunks instead
-  of one eagerly-materialised dense dataset.  This is the memory-bounded
-  streaming path of :class:`~repro.experiments.session.CampaignSession`.
-* ``"batched"`` — the whole-shard kernel: one (trial, process) shard is
-  sampled as a few large-array operations over an
-  ``(n_iterations, n_threads)`` matrix instead of ``n_iterations`` small
-  per-iteration passes.  Fastest by a wide margin for *every* schedule
-  clause — static folds closed-form, dynamic/guided through the
-  row-vectorised work-queue replay (bit-identical per row to the
-  per-iteration ``simulate``).  Draws its randomness in a different order
-  than ``"vectorized"``, so the two agree in distribution but not
-  bit-for-bit (the batched backend pins its own digests).
-* ``"campaign"`` — the whole-campaign tensor kernel: the batched math lifted
-  one more axis, sampling *all* (trial, process) shards as
-  ``(n_shards, n_iterations, n_threads)`` arrays — one schedule fold and
-  one columnar instrumenter assembly for an entire shard chunk
-  (``chunk_shards`` bounds peak memory).  Draw streams are keyed by
-  absolute shard scope, so results are bit-identical across any chunking
-  *and any worker count*: with ``max_workers > 1`` whole chunks fold in
-  parallel on a process pool, returning their columns through shared
-  memory (or spilling straight into a
-  :class:`~repro.io.shard_store.ShardStore`).  Like ``"batched"`` it
-  agrees with ``"vectorized"`` in distribution, not bit-for-bit, and pins
-  its own digests.  :meth:`CampaignTensorBackend.run_many` additionally
-  lets several compatible campaigns (scenario-matrix sweeps, concurrent
-  service jobs) share one tensor execution.
+* ``"campaign"`` — the whole-campaign tensor kernel: all (trial, process)
+  shards are sampled as ``(n_shards, n_iterations, n_threads)`` arrays —
+  one schedule fold and one columnar instrumenter assembly for an entire
+  shard chunk (``chunk_shards`` bounds peak memory).  Static clauses fold
+  closed-form, dynamic/guided through the row-vectorised work-queue
+  replay.  Draw streams are keyed by absolute shard scope, so results are
+  bit-identical across any chunking *and any worker count*: with
+  ``max_workers > 1`` whole chunks fold in parallel on a process pool,
+  returning their columns through shared memory (or spilling straight into
+  a :class:`~repro.io.shard_store.ShardStore`).  It draws its randomness
+  shard-major rather than iteration by iteration, so it agrees with
+  ``"vectorized"`` in distribution, not bit-for-bit, and pins its own
+  digests.  :meth:`CampaignTensorBackend.run_many` additionally lets
+  several compatible campaigns (scenario-matrix sweeps, concurrent service
+  jobs) share one tensor execution.
 
 Every backend decomposes its campaign into *shards* (:meth:`shard_specs` /
 :meth:`run_shard`).  A shard re-derives all of its random streams from the
@@ -116,8 +104,6 @@ class CampaignBackend(ABC):
 
     #: registered backend name (set by :func:`register_backend`)
     name: str = "abstract"
-    #: whether the backend is primarily consumed as a shard stream
-    streaming: bool = False
     #: whether shards may be fanned out across the parallel executor's
     #: worker pool; ``False`` forces the executor onto the serial path that
     #: defers to :meth:`iter_shards` (backends whose unit of work is the
@@ -197,7 +183,7 @@ def register_backend(name=None, *, replace: bool = False):
     """Class decorator registering a :class:`CampaignBackend` by name.
 
     Usable bare (``@register_backend`` — uses the class's ``name``) or with
-    an explicit name (``@register_backend("chunked")``).  Registering a name
+    an explicit name (``@register_backend("my-backend")``).  Registering a name
     twice raises unless ``replace=True`` (or the class is identical, which
     makes module re-imports idempotent).
     """
@@ -294,61 +280,6 @@ class VectorizedBackend(CampaignBackend):
         return TimingShard.from_dataset(
             instrumenter.dataset(), trial=trial, process=process
         )
-
-
-@register_backend("batched")
-class BatchedBackend(VectorizedBackend):
-    """Whole-shard closed-form sampling over an iteration × thread matrix.
-
-    Shards exactly like the vectorized backend — per (trial, process), with
-    all streams re-derived by name, so parallel execution stays
-    bit-identical to serial at any worker count.  Within a shard, the
-    application's :meth:`~repro.apps.base.ProxyApplication.thread_compute_times_batch`
-    samples every iteration at once: the schedule folds the full cost matrix
-    through its batch kernel, jitter is one 2-D draw, every noise source
-    contributes one whole-matrix ``batch_extra``, and the shard's columns
-    are assembled with a single columnar
-    :meth:`~repro.core.instrument.RegionInstrumenter.record_block`.
-
-    The per-iteration path interleaves its random draws iteration by
-    iteration while this backend draws them population by population, so the
-    sampled values differ bit-wise from ``"vectorized"`` while agreeing in
-    distribution (property-tested over apps × schedules × noise profiles).
-    """
-
-    def run_shard(
-        self, config: "CampaignConfig", spec: ShardSpec, streams: RandomStreams
-    ) -> TimingShard:
-        if spec.process is None:
-            raise ValueError(f"{self.name} backend shards per process, got {spec}")
-        app = build_application(config)
-        trial, process = spec.trial, spec.process
-        work_rng = streams.get(app.name, "work", trial, process)
-        noise_rng = streams.get(app.name, "noise", trial, process)
-        noise = config.machine.build_noise_model(noise_rng)
-        app.begin_process(process, work_rng)
-        times = app.thread_compute_times_batch(
-            process=process, rng=work_rng, noise=noise
-        )
-        instrumenter = RegionInstrumenter(region=app.region, application=app.name)
-        instrumenter.record_block(trial=trial, process=process, compute_times_s=times)
-        return TimingShard.from_dataset(
-            instrumenter.dataset(), trial=trial, process=process
-        )
-
-
-@register_backend("chunked")
-class ChunkedBackend(VectorizedBackend):
-    """Streaming variant of the vectorized backend.
-
-    Identical per-shard math (so a merged chunked run is bit-identical to a
-    vectorized run), but meant to be consumed shard-by-shard through
-    :meth:`CampaignBackend.iter_shards` /
-    :meth:`~repro.experiments.session.CampaignSession.stream`, keeping at most
-    one (trial, process) chunk in memory at a time.
-    """
-
-    streaming = True
 
 
 @register_backend("event")
@@ -726,9 +657,8 @@ def _fold_group_chunk_shm(group: List["CampaignConfig"], chunk_entries):
 class CampaignTensorBackend(CampaignBackend):
     """Whole-campaign tensor sampling: every shard in one (chunked) pass.
 
-    The batched shard kernel lifted one axis: all (trial, process) shards of
-    a campaign are sampled together as ``(n_shards, n_iterations,
-    n_threads)`` arrays — one schedule fold through
+    All (trial, process) shards of a campaign are sampled together as
+    ``(n_shards, n_iterations, n_threads)`` arrays — one schedule fold through
     :meth:`~repro.openmp.schedule.LoopSchedule.simulate_campaign` and one
     columnar
     :meth:`~repro.core.instrument.RegionInstrumenter.record_campaign`
@@ -739,11 +669,11 @@ class CampaignTensorBackend(CampaignBackend):
     only on its absolute (scope path, method, occurrence) identity, never
     on what folded before it.
 
-    Randomness is necessarily ordered differently than both
-    ``"vectorized"`` (per iteration) and ``"batched"`` (per shard), so this
-    backend agrees with them in distribution — property-tested — while
-    pinning its own smoke digests.  The schedule fold itself keeps per-row
-    bit-identity with ``simulate_batch``/``simulate``.
+    Randomness is necessarily ordered differently than ``"vectorized"``
+    (per iteration), so this backend agrees with it in distribution —
+    property-tested — while pinning its own smoke digests.  The schedule
+    fold itself keeps per-row bit-identity with
+    ``simulate_batch``/``simulate``.
 
     The campaign is one unit of work per *chunk*, not per shard, so the
     executor's shard fan-out is bypassed (``parallelizable = False``);
@@ -755,7 +685,6 @@ class CampaignTensorBackend(CampaignBackend):
     :meth:`run_shard` is unavailable by construction.
     """
 
-    streaming = True
     parallelizable = False
     chunk_parallel = True
 

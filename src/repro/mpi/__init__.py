@@ -9,19 +9,13 @@ bulk-synchronous send)?  Answering it quantitatively needs an MPI model:
 * :mod:`~repro.mpi.datatypes` — element types and buffer descriptors.
 * :mod:`~repro.mpi.network` — a LogGP-style network/NIC model with an
   Omni-Path-like preset (the paper's interconnect).
-* :mod:`~repro.mpi.comm` / :mod:`~repro.mpi.p2p` /
-  :mod:`~repro.mpi.collectives` — simulated communicators, point-to-point
-  messaging and collectives on the discrete-event engine.
 * :mod:`~repro.mpi.partitioned` — MPI-4.0-style partitioned transfers
   (``Psend_init`` / ``Pready`` / ``Parrived``), in both an event-driven form
   and the closed-form variant the early-bird feasibility model evaluates.
 """
 
-from repro.mpi.collectives import allreduce_time, barrier_time, bcast_time
-from repro.mpi.comm import Communicator, Rank
 from repro.mpi.datatypes import BYTE, DOUBLE, FLOAT, INT, Datatype
 from repro.mpi.network import NetworkModel, NICModel, omni_path
-from repro.mpi.p2p import Message, MessageQueue
 from repro.mpi.partitioned import (
     PartitionedRecvRequest,
     PartitionedSendRequest,
@@ -38,15 +32,8 @@ __all__ = [
     "NetworkModel",
     "NICModel",
     "omni_path",
-    "Communicator",
-    "Rank",
-    "Message",
-    "MessageQueue",
     "PartitionedSendRequest",
     "PartitionedRecvRequest",
     "PartitionedTransfer",
     "partitioned_completion_times",
-    "barrier_time",
-    "bcast_time",
-    "allreduce_time",
 ]

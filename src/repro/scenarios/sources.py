@@ -162,9 +162,9 @@ def _sum_per_window(
 
     Fast path: one vectorised ``reduceat``
     (:func:`~repro.openmp.schedule.segment_sums`) instead of the seed's
-    per-window ``np.split`` list comprehension — with the batched campaign
-    kernel a single call covers an entire ``(n_iterations, n_threads)``
-    shard, i.e. thousands of windows.
+    per-window ``np.split`` list comprehension — with the campaign kernel a
+    single call covers an entire ``(n_iterations, n_threads)`` shard, i.e.
+    thousands of windows.
 
     Bit-continuity: ``reduceat`` sums strictly left-to-right while
     ``ndarray.sum`` may reorder (SIMD/pairwise accumulation), so the two

@@ -7,7 +7,8 @@ to remote clients:
 ========================  ====================================================
 ``POST /jobs``            submit ``{"scenario": ..., "scale": ...,
                           "priority": ..., ...}``; responds ``202`` with the
-                          job status (``429`` when admission control rejects)
+                          job status (``429`` when admission control rejects,
+                          ``400`` for an unknown top-level key)
 ``GET /jobs/<id>``        current job status (state, progress, digest)
 ``GET /jobs/<id>/result`` block until terminal, then the final status
 ``GET /jobs/<id>/stream`` newline-delimited JSON: one ``shard`` event per
@@ -56,6 +57,10 @@ MAX_BODY_BYTES = 1 << 20
 
 class _BadRequest(Exception):
     """Maps to a 400 response with the message as the error field."""
+
+
+#: top-level keys of a ``POST /jobs`` body; campaign settings go in "overrides"
+_SUBMIT_KEYS = ("scenario", "scale", "priority", "use_cache", "coalesce", "overrides")
 
 
 class CampaignHTTPServer:
@@ -225,6 +230,12 @@ class CampaignHTTPServer:
             raise _BadRequest(f"body is not valid JSON: {error}") from error
         if not isinstance(payload, dict):
             raise _BadRequest("body must be a JSON object")
+        unknown = sorted(set(payload) - set(_SUBMIT_KEYS))
+        if unknown:
+            raise _BadRequest(
+                f"unknown keys {unknown}; accepted: {', '.join(_SUBMIT_KEYS)} "
+                '(campaign settings such as "backend" go in "overrides")'
+            )
         scenario = payload.get("scenario")
         if not isinstance(scenario, str) or not scenario:
             raise _BadRequest('"scenario" (string) is required')

@@ -11,8 +11,15 @@ import numpy as np
 import pytest
 
 from repro.core.timing import TimingDataset
-from repro.experiments.campaign import quick_campaign
 from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignSession
+
+
+def pytest_configure(config):
+    # deprecated or soon-to-change APIs fail the suite instead of scrolling
+    # past in the warnings summary
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+    config.addinivalue_line("filterwarnings", "error::FutureWarning")
 
 
 @pytest.fixture(scope="session")
@@ -21,14 +28,15 @@ def rng() -> np.random.Generator:
 
 
 def _smoke_dataset(application: str) -> TimingDataset:
-    return quick_campaign(
-        application,
+    config = CampaignConfig(
+        application=application,
         trials=1,
         processes=2,
         iterations=30,
         threads=48,
         seed=202304,
     )
+    return CampaignSession(config).run().dataset
 
 
 @pytest.fixture(scope="session")
@@ -53,16 +61,6 @@ def all_datasets(minife_dataset, minimd_dataset, miniqmc_dataset):
         "minimd": minimd_dataset,
         "miniqmc": miniqmc_dataset,
     }
-
-
-@pytest.fixture(scope="session")
-def synthetic_dataset() -> TimingDataset:
-    """A small dense synthetic dataset with known structure (no noise model)."""
-    rng = np.random.default_rng(0)
-    times = np.abs(rng.normal(25.0e-3, 0.4e-3, size=(2, 2, 10, 16)))
-    return TimingDataset.from_compute_times(
-        times, {"application": "synthetic", "region": "loop"}
-    )
 
 
 @pytest.fixture()

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.analyzer import ThreadTimingAnalyzer
-from repro.experiments.campaign import quick_campaign
+from repro.experiments.config import CampaignConfig
 from repro.experiments.paper import SECTION4_METRICS, TABLE1_PASS_PERCENT
+from repro.experiments.session import CampaignSession
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +34,10 @@ def miniqmc_multiprocess_dataset():
     between-process variance heterogeneity that drives the rejection is not
     yet resolvable, so this test uses a dozen populations.
     """
-    return quick_campaign(
+    config = CampaignConfig(
         "miniqmc", trials=2, processes=6, iterations=30, threads=48, seed=424242
     )
+    return CampaignSession(config).run().dataset
 
 
 class TestMedianArrivals:

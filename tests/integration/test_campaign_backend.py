@@ -4,8 +4,7 @@ The campaign backend samples *all* (trial, process) shards as
 ``(n_shards, n_iterations, n_threads)`` tensors — one schedule fold, one
 draw per noise source, one columnar assembly per shard chunk.  Its
 randomness is ordered shard-major across the whole campaign, so it is not
-bit-identical to ``"vectorized"`` or ``"batched"``; it pins its own
-reference digests here (distributional agreement with the vectorized path
+bit-identical to ``"vectorized"``; it pins its own reference digests here (distributional agreement with the vectorized path
 is property-tested in ``tests/property/test_prop_campaign.py``).  What this
 module pins exactly:
 
@@ -125,6 +124,16 @@ class TestPinnedDigests:
             (application, schedule)
         ]
 
+    @pytest.mark.parametrize("application", ["minimd", "miniqmc"])
+    @pytest.mark.parametrize("schedule", ["dynamic", "guided"])
+    def test_one_item_per_thread_apps_are_schedule_invariant(
+        self, application, schedule
+    ):
+        # one loop item per thread: the work-queue hand-out is thread k gets
+        # chunk k, identical to static, so the digest must not move
+        dataset = CampaignSession(_smoke(application, schedule=schedule)).run().dataset
+        assert _digest(dataset) == CAMPAIGN_SMOKE_DIGESTS[application]
+
     @pytest.mark.parametrize("application", APPLICATIONS)
     def test_campaign_shape_matches_vectorized(self, application):
         campaign = CampaignSession(_smoke(application)).run().dataset
@@ -176,6 +185,18 @@ class TestChunkInvariance:
             assert np.array_equal(fast.column(name), merged.column(name)), name
         assert fast.metadata == merged.metadata
 
+    @pytest.mark.parametrize("application", APPLICATIONS)
+    def test_session_stream_matches_merged_run(self, application):
+        from repro.core.timing import TimingDataset
+
+        session = CampaignSession(_smoke(application))
+        streamed = list(session.stream())
+        assert [(s.trial, s.process) for s in streamed] == [(0, 0), (0, 1)]
+        merged = session.run(use_cache=False).dataset
+        assert np.array_equal(
+            TimingDataset.merge(streamed).compute_times_s, merged.compute_times_s
+        )
+
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -225,6 +246,38 @@ class TestParallelExecution:
             get_backend("campaign"), config
         ))
         assert [(s.trial, s.process) for s in shards] == [(0, 0), (0, 1)]
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("application", APPLICATIONS)
+    def test_every_application_folds_chunks_in_parallel_bit_identically(
+        self, application, mode
+    ):
+        # two chunks of two shards each: MiniQMC's per-process walker
+        # populations (begin_campaign) and MiniMD's warm-up rows must be
+        # drawn per chunk exactly as the serial fold draws them
+        if mode == "process" and not _HAS_FORK:
+            pytest.skip("needs the fork start method")
+        serial = get_backend("campaign").run(_smoke(application, trials=2))
+        parallel = CampaignTensorBackend(chunk_shards=2).run(
+            _smoke(application, trials=2, max_workers=2), mode=mode
+        )
+        for name in serial.columns:
+            assert np.array_equal(serial.column(name), parallel.column(name)), name
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("schedule", ["dynamic", "dynamic,4", "guided"])
+    def test_workqueue_clauses_fold_chunks_in_parallel_bit_identically(
+        self, schedule, mode
+    ):
+        if mode == "process" and not _HAS_FORK:
+            pytest.skip("needs the fork start method")
+        serial = get_backend("campaign").run(
+            _smoke("minife", trials=2, schedule=schedule)
+        )
+        parallel = CampaignTensorBackend(chunk_shards=1).run(
+            _smoke("minife", trials=2, schedule=schedule, max_workers=2), mode=mode
+        )
+        assert np.array_equal(serial.compute_times_s, parallel.compute_times_s)
 
 
 class TestParallelBitIdentity:
@@ -381,21 +434,38 @@ class TestGroupedExecution:
 
 
 class TestRecordCampaign:
-    def test_record_campaign_matches_per_shard_record_block(self):
+    def test_record_campaign_matches_per_iteration_recording(self):
         rng = np.random.default_rng(5)
         times = np.abs(rng.normal(25e-3, 1e-3, size=(3, 7, 5)))
         shards = [(0, 0), (0, 1), (1, 0)]
         tensor = RegionInstrumenter(region="r", application="a")
         tensor.record_campaign(shards=shards, compute_times_s=times)
-        blockwise = RegionInstrumenter(region="r", application="a")
+        rowwise = RegionInstrumenter(region="r", application="a")
         for (trial, process), plane in zip(shards, times):
-            blockwise.record_block(
-                trial=trial, process=process, compute_times_s=plane
-            )
-        a, b = tensor.dataset(), blockwise.dataset()
+            for iteration, row in enumerate(plane):
+                rowwise.record_compute_times(
+                    trial=trial, process=process, iteration=iteration,
+                    compute_times_s=row,
+                )
+        a, b = tensor.dataset(), rowwise.dataset()
         assert a.columns == b.columns
         for name in a.columns:
             assert np.array_equal(a.column(name), b.column(name)), name
+
+    def test_record_campaign_interleaves_with_row_records(self):
+        instrumenter = RegionInstrumenter()
+        instrumenter.record_compute_times(
+            trial=0, process=0, iteration=0, compute_times_s=[1e-3, 2e-3]
+        )
+        instrumenter.record_campaign(
+            shards=[(0, 1)],
+            compute_times_s=np.full((1, 2, 2), 3e-3),
+            first_iteration=1,
+        )
+        dataset = instrumenter.dataset()
+        assert instrumenter.n_records == 6
+        assert dataset.column("process").tolist() == [0, 0, 1, 1, 1, 1]
+        assert dataset.column("iteration").tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_record_campaign_rejects_bad_input(self):
         instrumenter = RegionInstrumenter()
@@ -412,10 +482,21 @@ class TestRecordCampaign:
                 shards=[(0, 0)], compute_times_s=-np.ones((1, 2, 2))
             )
 
+    def test_reset_discards_blocks(self):
+        instrumenter = RegionInstrumenter()
+        instrumenter.record_campaign(
+            shards=[(0, 0)], compute_times_s=np.ones((1, 2, 2))
+        )
+        instrumenter.reset()
+        assert instrumenter.n_records == 0
+
     def test_recorded_values_are_decoupled_from_the_input_buffer(self):
+        # callers may reuse a preallocated tensor across record_campaign calls
         buffer = np.full((1, 2, 3), 1e-3)
         instrumenter = RegionInstrumenter()
         instrumenter.record_campaign(shards=[(0, 0)], compute_times_s=buffer)
         buffer[:] = 9.0
+        instrumenter.record_campaign(shards=[(0, 1)], compute_times_s=buffer)
         recorded = instrumenter.dataset().column("compute_time_s")
-        np.testing.assert_array_equal(recorded, np.full(6, 1e-3))
+        np.testing.assert_array_equal(recorded[:6], np.full(6, 1e-3))
+        np.testing.assert_array_equal(recorded[6:], np.full(6, 9.0))

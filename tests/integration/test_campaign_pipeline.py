@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.analyzer import ThreadTimingAnalyzer
-from repro.experiments.campaign import quick_campaign, run_all_campaigns, run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.figures import figure3_histogram, percentile_figure
+from repro.experiments.session import CampaignSession
 from repro.experiments.tables import section4_metrics_table, table1
 from repro.io.dataset_io import load_dataset, save_dataset
 
@@ -22,27 +22,28 @@ class TestCampaignStructure:
 
     def test_campaign_is_reproducible(self):
         config = CampaignConfig.smoke()
-        first = run_campaign(config)
-        second = run_campaign(CampaignConfig.smoke())
+        first = CampaignSession(config).run().dataset
+        second = CampaignSession(CampaignConfig.smoke()).run().dataset
         np.testing.assert_array_equal(first.compute_times_s, second.compute_times_s)
 
     def test_different_seeds_give_different_noise(self):
-        a = quick_campaign("minimd", trials=1, processes=1, iterations=5, threads=16, seed=1)
-        b = quick_campaign("minimd", trials=1, processes=1, iterations=5, threads=16, seed=2)
+        dims = dict(trials=1, processes=1, iterations=5, threads=16)
+        a = CampaignSession(CampaignConfig("minimd", seed=1, **dims)).run().dataset
+        b = CampaignSession(CampaignConfig("minimd", seed=2, **dims)).run().dataset
         assert not np.allclose(a.compute_times_s, b.compute_times_s)
 
-    def test_run_all_campaigns_covers_every_application(self):
-        datasets = run_all_campaigns(CampaignConfig.smoke())
-        assert set(datasets) == {"minife", "minimd", "miniqmc"}
-        for name, dataset in datasets.items():
-            assert dataset.application == name
+    def test_run_all_covers_every_application(self):
+        results = CampaignSession(CampaignConfig.smoke()).run_all()
+        assert set(results) == {"minife", "minimd", "miniqmc"}
+        for name, result in results.items():
+            assert result.dataset.application == name
 
     def test_noise_ablation_reduces_spread(self):
         noisy_cfg = CampaignConfig.smoke("minife")
         quiet_cfg = CampaignConfig.smoke("minife")
         quiet_cfg.machine = quiet_cfg.machine.without_noise()
-        noisy = run_campaign(noisy_cfg)
-        quiet = run_campaign(quiet_cfg)
+        noisy = CampaignSession(noisy_cfg).run().dataset
+        quiet = CampaignSession(quiet_cfg).run().dataset
         assert quiet.compute_times_s.std() < noisy.compute_times_s.std()
         assert quiet.metadata["noise_enabled"] is False
 

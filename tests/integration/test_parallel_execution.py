@@ -53,8 +53,9 @@ class TestParallelBitIdentical:
         parallel = CampaignSession(config.parallel(2)).run().dataset
         _assert_bit_identical(serial, parallel)
 
-    def test_chunked_parallel_stream_matches_serial_stream(self):
-        config = CampaignConfig.smoke().with_backend("chunked")
+    @pytest.mark.parametrize("application", ["minife", "minimd", "miniqmc"])
+    def test_parallel_stream_matches_serial_stream(self, application):
+        config = CampaignConfig.smoke(application)
         serial_shards = list(CampaignSession(config).stream())
         parallel_shards = list(CampaignSession(config.parallel(4)).stream())
         assert [s.sort_key for s in serial_shards] == [

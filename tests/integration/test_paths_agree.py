@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.analyzer import ThreadTimingAnalyzer
-from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignSession
 from repro.stats.histogram import fixed_width_histogram, histogram_overlap
 
 
@@ -29,11 +29,15 @@ def _config(application, backend, noise, seed=77):
     return config
 
 
+def _dataset(application, backend, noise):
+    return CampaignSession(_config(application, backend, noise)).run().dataset
+
+
 class TestBackendAgreement:
     @pytest.mark.parametrize("application", ["minife", "miniqmc"])
     def test_noise_free_backends_agree_closely(self, application):
-        vector = run_campaign(_config(application, "vectorized", noise=False))
-        event = run_campaign(_config(application, "event", noise=False))
+        vector = _dataset(application, "vectorized", noise=False)
+        event = _dataset(application, "event", noise=False)
         assert len(vector) == len(event)
         v = np.sort(vector.compute_times_s)
         e = np.sort(event.compute_times_s)
@@ -43,8 +47,8 @@ class TestBackendAgreement:
         np.testing.assert_allclose(v.mean(), e.mean(), rtol=1e-3)
 
     def test_noisy_backends_agree_in_distribution(self):
-        vector = run_campaign(_config("minimd", "vectorized", noise=True))
-        event = run_campaign(_config("minimd", "event", noise=True))
+        vector = _dataset("minimd", "vectorized", noise=True)
+        event = _dataset("minimd", "event", noise=True)
         hist_v = fixed_width_histogram(vector.compute_times_s, 0.25e-3)
         hist_e = fixed_width_histogram(event.compute_times_s, 0.25e-3)
         assert histogram_overlap(hist_v, hist_e) > 0.7
@@ -55,7 +59,7 @@ class TestBackendAgreement:
         )
 
     def test_event_backend_records_raw_clock_readings(self):
-        dataset = run_campaign(_config("minife", "event", noise=False))
+        dataset = _dataset("minife", "event", noise=False)
         assert "start_ns" in dataset.columns
         starts = dataset.column("start_ns")
         ends = dataset.column("end_ns")

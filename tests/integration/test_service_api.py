@@ -315,6 +315,48 @@ class TestHTTPFrontEnd:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("backend", ["batched", "chunked"])
+    def test_retired_backend_override_rejected(self, backend):
+        async def scenario():
+            service = CampaignService(workers=1, executor_mode="thread")
+            async with CampaignHTTPServer(service, port=0) as server:
+                status, body = await _http_request(
+                    server.host, server.port, "POST", "/jobs",
+                    body={"scenario": SCENARIO, "overrides": {"backend": backend}},
+                )
+                assert status == 400
+                error = json.loads(body)["error"]
+                assert backend in error
+                for name in ("campaign", "event", "vectorized"):
+                    assert name in error
+                assert sum(service.stats()["jobs"].values()) == 0
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "extra", [{"backend": "campaign"}, {"seed": 3}, {"sceanrio": SCENARIO}]
+    )
+    def test_unknown_top_level_key_rejected(self, extra):
+        """A campaign setting placed beside ``scenario`` instead of inside
+        ``overrides`` would be dropped and the job run on the scenario's own
+        settings; it must be a 400 naming the key, not a silent 202."""
+
+        async def scenario():
+            service = CampaignService(workers=1, executor_mode="thread")
+            async with CampaignHTTPServer(service, port=0) as server:
+                status, body = await _http_request(
+                    server.host, server.port, "POST", "/jobs",
+                    body={"scenario": SCENARIO, "scale": "smoke", **extra},
+                )
+                assert status == 400
+                error = json.loads(body)["error"]
+                (key,) = extra
+                assert repr(key) in error
+                assert "overrides" in error
+                assert sum(service.stats()["jobs"].values()) == 0
+
+        asyncio.run(scenario())
+
     def test_analyses_endpoint_conflicts_on_cancelled_job(self, gated_backend):
         """``GET /jobs/<id>/analyses`` on a non-``done`` terminal job is a
         409, not a 500: there is no dataset to analyse."""

@@ -165,13 +165,21 @@ class TestMiniFEApp:
 
 
 class TestBatchedWorkModel:
-    def test_base_thread_times_batch_broadcasts_cached_row(self):
+    def test_base_thread_times_campaign_broadcasts_cached_row(self):
         app = MiniFEApp(MiniFEConfig(nx=24, ny=24, nz=24, n_threads=8, n_iterations=5))
         rng = np.random.default_rng(0)
-        batch = app.base_thread_times_batch(0, 5, rng)
-        assert batch.shape == (5, 8)
+        tensor = app.base_thread_times_campaign([(0, 0), (0, 1)], 5, rng)
+        assert tensor.shape == (2, 5, 8)
         row = app.base_thread_times(0, 0, np.random.default_rng(0))
-        np.testing.assert_array_equal(batch, np.tile(row, (5, 1)))
+        np.testing.assert_array_equal(tensor, np.tile(row, (2, 5, 1)))
+
+    def test_item_costs_batch_fallback_stacks_per_iteration_draws(self):
+        # MiniFE keeps the generic per-shard fallback: same draws, same order
+        app = MiniFEApp(MiniFEConfig(nx=24, ny=24, nz=24, n_threads=8, n_iterations=4))
+        batch = app.item_costs_batch(0, 4, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        rows = np.stack([app.item_costs(0, it, rng) for it in range(4)])
+        np.testing.assert_array_equal(batch, rows)
 
     def test_application_delays_batch_straggler_statistics(self):
         app = MiniFEApp(
@@ -188,8 +196,10 @@ class TestBatchedWorkModel:
         assert np.all(values >= app.config.straggler_min_s)
         assert np.all(values <= app.config.straggler_max_s)
 
-    def test_thread_compute_times_batch_shape_and_positivity(self):
+    def test_thread_compute_times_campaign_shape_and_positivity(self):
         app = MiniFEApp(MiniFEConfig(nx=24, ny=24, nz=24, n_threads=8, n_iterations=6))
-        times = app.thread_compute_times_batch(process=0, rng=np.random.default_rng(2))
-        assert times.shape == (6, 8)
+        times = app.thread_compute_times_campaign(
+            shards=[(0, 0), (1, 0)], rng=np.random.default_rng(2)
+        )
+        assert times.shape == (2, 6, 8)
         assert np.all(times > 0)

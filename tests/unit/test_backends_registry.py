@@ -18,7 +18,7 @@ from repro.experiments.config import CampaignConfig
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert {"vectorized", "batched", "event", "chunked"} <= set(available_backends())
+        assert available_backends() == ("campaign", "event", "vectorized")
 
     def test_get_backend_returns_named_instances(self):
         for name in available_backends():
@@ -138,13 +138,6 @@ class TestShardSpecs:
         assert len(specs) == 6
         assert specs[0] == ShardSpec(trial=0, process=0)
         assert specs[-1] == ShardSpec(trial=2, process=1)
-
-    def test_chunked_shares_vectorized_decomposition(self):
-        config = CampaignConfig.smoke()
-        assert get_backend("chunked").shard_specs(config) == get_backend(
-            "vectorized"
-        ).shard_specs(config)
-        assert get_backend("chunked").streaming
 
     def test_event_shards_per_trial(self):
         config = CampaignConfig.smoke().scaled(trials=4)

@@ -7,7 +7,7 @@ per-shard cost/delay draws under absolute shard scopes feeding one
 whole-campaign schedule fold plus whole-tensor jitter/noise passes.  These
 tests pin the fallback's two contracts — chunk invariance (bit-identical
 samples for any partition of the shard axis) and distributional agreement
-with the per-shard ``"batched"`` backend.
+with the per-iteration ``"vectorized"`` oracle.
 """
 
 from contextlib import contextmanager
@@ -110,26 +110,27 @@ class TestChunkInvariance:
 
 class TestDistributionalAgreement:
     @pytest.mark.parametrize("app_cls", [ToyApp, DelayedApp])
-    def test_matches_batched_backend(self, app_cls):
-        """Campaign fallback and per-shard batched path agree in distribution.
+    def test_matches_vectorized_backend(self, app_cls):
+        """Campaign fallback and the per-iteration vectorized oracle agree
+        in distribution.
 
-        Draw order necessarily differs (whole-tensor jitter/noise vs
-        per-shard), so the comparison is on summary statistics, not bits.
+        Draw order necessarily differs (per-shard tensor draws vs per
+        iteration), so the comparison is on summary statistics, not bits.
         """
         with registered(app_cls):
             config = _config(app_cls)
             fallback = CampaignTensorBackend().run(config).compute_times_s
-            batched = (
-                get_backend("batched")
-                .run(config.with_backend("batched"))
+            vectorized = (
+                get_backend("vectorized")
+                .run(config.with_backend("vectorized"))
                 .compute_times_s
             )
-            assert fallback.shape == batched.shape
-            assert np.isclose(fallback.mean(), batched.mean(), rtol=0.05)
+            assert fallback.shape == vectorized.shape
+            assert np.isclose(fallback.mean(), vectorized.mean(), rtol=0.05)
             for percentile in (25, 50, 75, 95):
                 assert np.isclose(
                     np.percentile(fallback, percentile),
-                    np.percentile(batched, percentile),
+                    np.percentile(vectorized, percentile),
                     rtol=0.05,
                 ), f"p{percentile} diverged"
 

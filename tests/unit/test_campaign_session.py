@@ -1,11 +1,10 @@
-"""Unit tests for the CampaignSession facade, result caching and shims."""
+"""Unit tests for the CampaignSession facade and result caching."""
 
 import numpy as np
 import pytest
 
 from repro.core.analyzer import ThreadTimingAnalyzer
 from repro.core.timing import TimingDataset, TimingShard
-from repro.experiments.campaign import quick_campaign, run_all_campaigns, run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignResult, CampaignSession, config_cache_key
 from repro.io.dataset_io import load_shards, save_shards
@@ -65,24 +64,17 @@ class TestSessionFacade:
         merged = TimingDataset.merge(shards, metadata=backend.metadata(smoke_config))
         _assert_columns_equal(merged, session.run().dataset)
 
+    @pytest.mark.parametrize("backend", ["vectorized", "campaign"])
+    def test_stream_is_lazy(self, smoke_config, backend):
+        stream = CampaignSession(smoke_config.with_backend(backend)).stream()
+        first = next(stream)
+        assert (first.trial, first.process) == (0, 0)
+        assert first.n_samples == smoke_config.iterations * smoke_config.threads
+
     def test_dataset_and_analyze_run_on_demand(self, smoke_config):
         session = CampaignSession(smoke_config)
         assert session.dataset().n_samples == smoke_config.samples_per_application
         assert isinstance(session.analyze(), ThreadTimingAnalyzer)
-
-
-class TestChunkedBackend:
-    def test_chunked_merge_equals_vectorized_dense_output(self, smoke_config):
-        vectorized = CampaignSession(smoke_config).run().dataset
-        chunked = CampaignSession(smoke_config.with_backend("chunked")).run().dataset
-        _assert_columns_equal(vectorized, chunked)
-        np.testing.assert_array_equal(vectorized.to_dense(), chunked.to_dense())
-
-    def test_chunked_stream_is_lazy(self, smoke_config):
-        stream = CampaignSession(smoke_config.with_backend("chunked")).stream()
-        first = next(stream)
-        assert (first.trial, first.process) == (0, 0)
-        assert first.n_samples == smoke_config.iterations * smoke_config.threads
 
 
 class TestResultCaching:
@@ -297,29 +289,3 @@ class TestShardIO:
         with pytest.raises(ValueError, match="shard"):
             load_shards(path)
 
-
-class TestDeprecationShims:
-    def test_run_campaign_warns_and_matches_session(self, smoke_config):
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            old = run_campaign(smoke_config)
-        new = CampaignSession(smoke_config).run().dataset
-        _assert_columns_equal(old, new)
-        assert old.metadata == new.metadata
-
-    def test_quick_campaign_warns_and_matches_session(self):
-        with pytest.warns(DeprecationWarning, match="quick_campaign"):
-            old = quick_campaign(
-                "minife", trials=1, processes=1, iterations=5, threads=8, seed=3
-            )
-        config = CampaignConfig(
-            application="minife", trials=1, processes=1, iterations=5, threads=8, seed=3
-        )
-        _assert_columns_equal(old, CampaignSession(config).run().dataset)
-
-    def test_run_all_campaigns_warns_and_matches_session(self, smoke_config):
-        with pytest.warns(DeprecationWarning, match="run_all_campaigns"):
-            old = run_all_campaigns(smoke_config, applications=["minife"])
-        assert set(old) == {"minife"}
-        _assert_columns_equal(
-            old["minife"], CampaignSession(smoke_config).run("minife").dataset
-        )

@@ -93,6 +93,26 @@ class TestDelays:
         # periodic daemon plus rare interrupts)
         assert abs(batch.mean() - scalar.mean()) < 5e-4
 
+    @pytest.mark.parametrize("shape", [(16,), (6, 16), (2, 6, 16)])
+    def test_batch_delays_preserve_input_shape(self, shape):
+        # the vectorized backend passes thread rows, the campaign backend
+        # iteration x thread planes: one call, delays shaped like the work
+        model = OSNoiseModel(NoiseSpec(), np.random.default_rng(8))
+        delays = model.batch_delays(np.full(shape, 0.025))
+        assert delays.shape == shape
+        assert np.all(delays >= 0.0)
+
+    def test_batch_delays_reject_negative_work(self):
+        model = OSNoiseModel(NoiseSpec(), np.random.default_rng(9))
+        with pytest.raises(ValueError):
+            model.batch_delays(np.array([0.025, -1.0]))
+
+    def test_batch_delays_disabled_are_zero(self):
+        model = OSNoiseModel(NoiseSpec().disabled(), np.random.default_rng(10))
+        np.testing.assert_array_equal(
+            model.batch_delays(np.full((3, 4), 0.025)), np.zeros((3, 4))
+        )
+
     def test_sample_wall_time_at_least_work(self):
         model = OSNoiseModel(NoiseSpec(jitter_fraction=0.0), np.random.default_rng(7))
         wall = model.sample_wall_time(CORE, 0.0, 0.025)

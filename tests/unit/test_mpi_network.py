@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi.datatypes import BYTE, DOUBLE, BufferSpec, Datatype
+from repro.mpi.datatypes import BYTE, DOUBLE, FLOAT, INT, BufferSpec, Datatype
 from repro.mpi.network import NetworkModel, NICModel, omni_path
 
 
@@ -31,6 +31,39 @@ class TestDatatypes:
     def test_buffer_mismatched_array_rejected(self):
         with pytest.raises(ValueError):
             BufferSpec(5, DOUBLE, np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "datatype, size", [(DOUBLE, 8), (FLOAT, 4), (INT, 4), (BYTE, 1)],
+        ids=lambda value: getattr(value, "name", str(value)),
+    )
+    def test_predefined_datatype_sizes(self, datatype, size):
+        assert datatype.size_bytes == size
+        assert datatype.extent(0) == 0
+        assert BufferSpec(3, datatype).nbytes == 3 * size
+
+    @pytest.mark.parametrize(
+        "count, n_partitions", [(10, 3), (3, 5), (0, 4), (16, 4), (17, 1)]
+    )
+    def test_partition_sizes_are_near_equal_and_complete(self, count, n_partitions):
+        pieces = BufferSpec(count, FLOAT).partition(n_partitions)
+        sizes = [piece.count for piece in pieces]
+        assert len(pieces) == n_partitions
+        assert sum(sizes) == count
+        assert max(sizes) - min(sizes) <= 1
+        # the remainder goes to the earliest partitions
+        assert sizes == sorted(sizes, reverse=True)
+        assert all(piece.datatype is FLOAT for piece in pieces)
+
+    def test_partition_without_array_carries_no_payload(self):
+        assert all(p.array is None for p in BufferSpec(7).partition(2))
+
+    def test_partition_count_must_be_positive(self):
+        with pytest.raises(ValueError):
+            BufferSpec(8).partition(0)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            BufferSpec(-1)
 
 
 class TestNetworkModel:

@@ -19,8 +19,6 @@ class TestTopLevelApi:
         assert repro.ThreadTimingAnalyzer is importlib.import_module(
             "repro.core.analyzer"
         ).ThreadTimingAnalyzer
-        assert callable(repro.quick_campaign)
-        assert callable(repro.run_campaign)
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
@@ -41,7 +39,6 @@ class TestTopLevelApi:
             "repro.stats",
             "repro.core",
             "repro.apps",
-            "repro.workloads",
             "repro.experiments",
             "repro.io",
             "repro.viz",
